@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race tier1 bench benchdiff benchsmoke tracesmoke servesmoke obssmoke graphsmoke memsmoke scalesmoke fabricsmoke tools clean
+.PHONY: check build vet test race tier1 bench benchdiff benchsmoke tracesmoke servesmoke obssmoke graphsmoke memsmoke scalesmoke fabricsmoke fuzzsmoke tools clean
 
 # The full pre-merge gate: vet + build + race-enabled tests + tier-1 +
 # a single-iteration pass over every benchmark so they can't rot + a
@@ -9,8 +9,9 @@ GO ?= go
 # fragments) + the graph-family sweep smoke test over the enlarged
 # registry grid + the streaming-evaluation memory gate on a
 # 10M-instruction trace + the paper-scale streaming gate (200M
-# instructions, never materialized, inside the same budget).
-check: vet build race tier1 benchsmoke tracesmoke servesmoke obssmoke graphsmoke memsmoke scalesmoke fabricsmoke
+# instructions, never materialized, inside the same budget) + a bounded
+# run of every fuzz target.
+check: vet build race tier1 benchsmoke tracesmoke servesmoke obssmoke graphsmoke memsmoke scalesmoke fabricsmoke fuzzsmoke
 
 build:
 	$(GO) build ./...
@@ -107,6 +108,11 @@ fabricsmoke:
 	$(GO) build -o /tmp/exocore-fabricsmoke-bin/ ./cmd/exocored
 	$(GO) run ./scripts/fabricsmoke /tmp/exocore-fabricsmoke-bin
 	@rm -rf /tmp/exocore-fabricsmoke-bin
+
+# Fuzz smoke test: each native fuzz target for a bounded time, on top of
+# its seed corpus under testdata/fuzz/ (which plain `go test` replays).
+fuzzsmoke:
+	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzOpenSegment$$' -fuzztime 10s
 
 # Streaming-evaluation memory gate: a 10M-instruction trace through the
 # baseline engine must stay inside a fixed memory budget — the µDG is

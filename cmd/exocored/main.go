@@ -133,6 +133,10 @@ func main() {
 		if derr := srv.Shutdown(dctx); err == nil {
 			err = derr
 		}
+		// Drained: seal the store's active segment before exiting.
+		if cerr := app.Store().Close(); err == nil {
+			err = cerr
+		}
 		shutdownErr <- err
 	}()
 

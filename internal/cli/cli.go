@@ -227,10 +227,10 @@ func (a *App) Parse(args []string) error {
 }
 
 // Close stops the CPU profile, writes the allocation profile and the
-// span trace, if the respective flags were given, and returns the first
-// failure so callers can surface it in the exit status. Idempotent;
-// called from Emit, Finish and Fail, and safe to defer from main as a
-// catch-all.
+// span trace, if the respective flags were given, closes the -store
+// store (sealing its active segment), and returns the first failure
+// so callers can surface it in the exit status. Idempotent; called from
+// Emit, Finish and Fail, and safe to defer from main as a catch-all.
 func (a *App) Close() error {
 	var firstErr error
 	keep := func(err error) {
@@ -258,6 +258,9 @@ func (a *App) Close() error {
 		if err := writeTrace(a.Trace, t); err != nil {
 			keep(fmt.Errorf("-trace: %w", err))
 		}
+	}
+	if err := a.store.Close(); err != nil {
+		keep(fmt.Errorf("-store: %w", err))
 	}
 	return firstErr
 }

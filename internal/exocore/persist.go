@@ -25,7 +25,8 @@ type Persist interface {
 // unit's structure (appendUnitSig) under ns, which must uniquely
 // identify the cache's (benchmark trace, core config, BSA set) tuple
 // across daemon restarts (internal/runner derives it from the workload
-// name, core name and -maxdyn). Attach before the cache's first Run;
+// name, core name, -maxdyn and a fingerprint of the model parameters).
+// Attach before the cache's first Run;
 // the field is read without synchronization afterwards.
 func (c *Cache) AttachPersist(p Persist, ns string) {
 	c.persist = p

@@ -80,3 +80,52 @@ func TestEngineWarmRestartThroughStore(t *testing.T) {
 			testMaxDyn/2, hits, testMaxDyn)
 	}
 }
+
+// TestStoreNamespaceFingerprintsModels changes one core parameter under
+// an unchanged core name: the store written under the old parameters
+// must serve nothing, and the results must be the new configuration's,
+// as a store-less engine computes them.
+func TestStoreNamespaceFingerprintsModels(t *testing.T) {
+	dir := t.TempDir()
+	w := testWorkload(t, "cjpeg")
+	open := func(reg *obs.Registry) *store.Store {
+		t.Helper()
+		s, err := store.Open(dir, store.Options{Reg: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		return s
+	}
+
+	reg1 := obs.NewRegistry()
+	e1 := New(Options{MaxDyn: testMaxDyn, Persist: open(reg1), Reg: reg1})
+	if _, _, err := e1.Evaluate(w, cores.OOO2, nil); err != nil {
+		t.Fatal(err)
+	}
+	if reg1.Counter("store.writes").Value() == 0 {
+		t.Fatal("first engine wrote nothing to the store")
+	}
+
+	changed := cores.OOO2
+	changed.FrontendDepth++
+	reg2 := obs.NewRegistry()
+	e2 := New(Options{MaxDyn: testMaxDyn, Persist: open(reg2), Reg: reg2})
+	cyc, nj, err := e2.Evaluate(w, changed, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits := reg2.Counter("store.hits").Value(); hits != 0 {
+		t.Errorf("changed core config hit %d entries persisted under the old one", hits)
+	}
+	if reg2.Counter("store.misses").Value() == 0 {
+		t.Error("changed-config engine never consulted the store")
+	}
+	wantCyc, wantNJ, err := New(Options{MaxDyn: testMaxDyn}).Evaluate(w, changed, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cyc != wantCyc || nj != wantNJ {
+		t.Errorf("changed config through the store = (%d, %g), without = (%d, %g)", cyc, nj, wantCyc, wantNJ)
+	}
+}

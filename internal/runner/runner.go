@@ -12,6 +12,8 @@ package runner
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -19,6 +21,7 @@ import (
 
 	"exocore/internal/bsa"
 	"exocore/internal/cores"
+	"exocore/internal/energy"
 	"exocore/internal/exocore"
 	"exocore/internal/obs"
 	"exocore/internal/sched"
@@ -98,7 +101,8 @@ type Options struct {
 	// *store.Store behind -store DIR) attached under every scheduling
 	// context's unit cache: misses consult it before evaluating and
 	// fresh outcomes write through, so a restarted process comes up
-	// warm. The engine namespaces keys by (workload, core, MaxDyn).
+	// warm. The engine namespaces keys by (workload, core, MaxDyn) and a
+	// fingerprint of the core, energy and BSA model parameters.
 	// Ignored with NoSegmentCache.
 	Persist exocore.Persist
 }
@@ -426,7 +430,7 @@ func (e *Engine) ContextCtx(ctx context.Context, w *workloads.Workload, core cor
 		sc, err := sched.NewContextWith(td, core, e.bsaReg.New(),
 			sched.ContextOpts{NoSegmentCache: e.noSegCache, NoDelta: e.noDelta,
 				Workers: e.workers, Reg: e.reg, Span: sp,
-				Persist: e.persist, PersistNS: e.persistNS(key)})
+				Persist: e.persist, PersistNS: e.persistNS(key, core)})
 		if err != nil {
 			return nil, err
 		}
@@ -446,13 +450,34 @@ func (e *Engine) ContextCtx(ctx context.Context, w *workloads.Workload, core cor
 }
 
 // persistNS derives the durable-store namespace for one scheduling
-// context: the format tag, the context key (workload/core) and the
-// engine's instruction budget. ChunkInsts is deliberately absent —
-// chunked and materialized synthesis are byte-identical — and the BSA
-// registry needs no component because unit signatures carry the model
-// names themselves.
-func (e *Engine) persistNS(contextKey string) string {
-	return "u1|" + contextKey + "/" + fmt.Sprint(e.maxDyn) + "|"
+// context: the format tag, the context key (workload/core), the
+// engine's instruction budget and a fingerprint of the models behind
+// every outcome, so a build or configuration that changes a model
+// parameter misses instead of serving stale outcomes from an old
+// store. ChunkInsts is deliberately absent — chunked and materialized
+// synthesis are byte-identical. Without a store there is no namespace
+// to derive.
+func (e *Engine) persistNS(contextKey string, core cores.Config) string {
+	if e.persist == nil {
+		return ""
+	}
+	return "u1|" + contextKey + "/" + fmt.Sprint(e.maxDyn) + "|" + e.modelFingerprint(core) + "|"
+}
+
+// modelFingerprint hashes the %#v rendering of the core's
+// configuration and energy table and of every registered BSA model
+// with its area and static power, and returns the hash's first 8
+// bytes in hex.
+func (e *Engine) modelFingerprint(core cores.Config) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%#v\n%#v\n", core, energy.CoreTable(core.EnergyParams()))
+	for _, b := range e.bsaReg.Entries() {
+		m := b.New()
+		area := m.AreaMM2()
+		fmt.Fprintf(h, "%s %#v %v %v %v\n", b.Name, m, area, m.OffloadsCore(),
+			energy.AccelStaticW(energy.AccelParams{AreaMM2: area}))
+	}
+	return hex.EncodeToString(h.Sum(nil)[:8])
 }
 
 // AssignmentKey renders an assignment as a canonical signature usable as
