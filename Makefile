@@ -113,6 +113,7 @@ fabricsmoke:
 # its seed corpus under testdata/fuzz/ (which plain `go test` replays).
 fuzzsmoke:
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzOpenSegment$$' -fuzztime 10s
+	$(GO) test ./internal/report -run '^$$' -fuzz '^FuzzMerge$$' -fuzztime 10s
 
 # Streaming-evaluation memory gate: a 10M-instruction trace through the
 # baseline engine must stay inside a fixed memory budget — the µDG is

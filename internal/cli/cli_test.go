@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -77,7 +78,8 @@ func TestParseRejectsInvalid(t *testing.T) {
 		{[]string{"-bench", "nosuchbench"}, "unknown workload"},
 		{[]string{"-bsas", "GPU"}, "unknown BSA"},
 		{[]string{"-sched", "magic"}, "unknown scheduler"},
-		{[]string{"-chunk-insts", "-5"}, "did you mean 0 (materialize"},
+		{[]string{"-chunk-insts", "-5"}, "below the minimum 4096; did you mean 4096?"},
+		{[]string{"-chunk-insts", "0"}, "below the minimum 4096; did you mean 4096?"},
 		{[]string{"-chunk-insts", "100"}, "below the minimum 4096"},
 		{[]string{"-chunk-insts", "536870913"}, "exceeds the maximum"},
 	}
@@ -127,26 +129,16 @@ func TestChunkInstsFlag(t *testing.T) {
 	if a.ChunkInsts != trace.DefaultChunkInsts {
 		t.Errorf("default chunk-insts = %d, want %d", a.ChunkInsts, trace.DefaultChunkInsts)
 	}
-	if a.EngineChunkInsts() != trace.DefaultChunkInsts {
-		t.Errorf("engine chunk-insts = %d, want default passthrough", a.EngineChunkInsts())
-	}
 
-	// 0 selects the materialized path (negative runner option encoding).
-	b := New("tool", "all")
-	if err := b.Parse([]string{"-chunk-insts", "0"}); err != nil {
-		t.Fatal(err)
-	}
-	if b.EngineChunkInsts() >= 0 {
-		t.Errorf("engine chunk-insts for flag 0 = %d, want negative (materialized)", b.EngineChunkInsts())
-	}
-
-	// Explicit in-range values pass through.
-	c := New("tool", "all")
-	if err := c.Parse([]string{"-chunk-insts", "8192"}); err != nil {
-		t.Fatal(err)
-	}
-	if c.EngineChunkInsts() != 8192 {
-		t.Errorf("engine chunk-insts = %d, want 8192", c.EngineChunkInsts())
+	// Explicit in-range values, the minimum included, are accepted.
+	for _, n := range []string{"4096", "8192"} {
+		c := New("tool", "all")
+		if err := c.Parse([]string{"-chunk-insts", n}); err != nil {
+			t.Fatalf("-chunk-insts %s: %v", n, err)
+		}
+		if got := strconv.Itoa(c.ChunkInsts); got != n {
+			t.Errorf("chunk-insts = %s, want %s", got, n)
+		}
 	}
 }
 

@@ -3,12 +3,17 @@ package dse
 import (
 	"bytes"
 	"encoding/json"
+	"sort"
 	"testing"
 
+	"exocore/internal/bsa"
 	"exocore/internal/cli"
 	"exocore/internal/cores"
+	"exocore/internal/exocore"
 	"exocore/internal/report"
 	"exocore/internal/runner"
+	"exocore/internal/sched"
+	"exocore/internal/tdg"
 	"exocore/internal/workloads"
 )
 
@@ -75,8 +80,8 @@ func TestSerialParallelByteIdentical(t *testing.T) {
 }
 
 // reportDoc renders an exploration as the exocore-result/v1 document
-// cmd/dse emits with -json, without the Metrics block (cache counters
-// legitimately differ between cached and uncached engines).
+// cmd/dse emits with -json, without the Metrics block (a reference sweep
+// has no engine to report).
 func reportDoc(t *testing.T, exp *Exploration) []byte {
 	t.Helper()
 	doc := report.New("dse")
@@ -101,12 +106,52 @@ func reportDoc(t *testing.T, exp *Exploration) []byte {
 	return buf.Bytes()
 }
 
-// TestCachedSweepByteIdentical is the end-to-end correctness gate for the
-// evaluation-unit cache: over the quick-set workloads and all 16 BSA
-// subsets, a sweep with unit-outcome memoization must produce a
-// byte-identical exocore-result/v1 document to a sweep that rebuilds
-// every unit from scratch.
-func TestCachedSweepByteIdentical(t *testing.T) {
+// referenceContext builds the scheduling context sched.NewContextWith
+// builds — the same plans, baseline and candidate solos, in the same
+// (BSA name, loop) order — with every measurement a from-scratch
+// exocore.Run and no unit cache. Its nil Cache keeps later Evaluate
+// calls uncached too, so it shares only evalUnit with the engine: no
+// cut set, prefix publication, shared pool or outcome memoization.
+func referenceContext(t *testing.T, td *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA) *sched.Context {
+	t.Helper()
+	sc := &sched.Context{TDG: td, Core: core, BSAs: bsas, Plans: map[string]*tdg.Plan{}}
+	var names []string
+	for name, b := range bsas {
+		sc.Plans[name] = b.Analyze(td)
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	base, err := exocore.Run(td, core, bsas, sc.Plans, nil, exocore.RunOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.BaseCycles = base.Cycles
+	sc.BaseEnergyNJ = exocore.EnergyOf(base, core, bsas).TotalNJ()
+	for _, name := range names {
+		var loops []int
+		for l := range sc.Plans[name].Regions {
+			loops = append(loops, l)
+		}
+		sort.Ints(loops)
+		for _, l := range loops {
+			res, err := exocore.Run(td, core, bsas, sc.Plans, exocore.Assignment{l: name}, exocore.RunOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc.Candidates = append(sc.Candidates, sched.Candidate{
+				LoopID: l, BSA: name,
+				Cycles:     res.Cycles,
+				EnergyNJ:   exocore.EnergyOf(res, core, bsas).TotalNJ(),
+				EstSpeedup: sc.Plans[name].Regions[l].EstSpeedup,
+			})
+		}
+	}
+	return sc
+}
+
+// quickWorkloads resolves the -bench quick set.
+func quickWorkloads(t *testing.T) []*workloads.Workload {
+	t.Helper()
 	var ws []*workloads.Workload
 	for _, name := range cli.QuickSet {
 		w, err := workloads.ByName(name)
@@ -115,85 +160,118 @@ func TestCachedSweepByteIdentical(t *testing.T) {
 		}
 		ws = append(ws, w)
 	}
-	cs := []cores.Config{cores.OOO2}
+	return ws
+}
 
-	cached, err := Explore(Options{
-		Workloads: ws, Cores: cs,
-		Engine: runner.New(runner.Options{MaxDyn: 10_000}),
-	})
+// referenceSweep assembles the sweep of ws over cs and every BSA subset
+// through NewShell, AddBench and Normalize from uncached reference
+// contexts: the engine-free baseline the engine's sweeps are gated on.
+func referenceSweep(t *testing.T, ws []*workloads.Workload, cs []cores.Config, maxDyn int) *Exploration {
+	t.Helper()
+	reg := bsa.Default()
+	ref, err := NewShell(reg, nil, cs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	uncached, err := Explore(Options{
-		Workloads: ws, Cores: cs,
-		Engine: runner.New(runner.Options{MaxDyn: 10_000, NoSegmentCache: true}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cb, ub := reportDoc(t, cached), reportDoc(t, uncached)
-	if !bytes.Equal(cb, ub) {
-		for i := range cb {
-			if i >= len(ub) || cb[i] != ub[i] {
-				lo := i - 80
-				if lo < 0 {
-					lo = 0
+	for _, w := range ws {
+		tr, err := w.Trace(maxDyn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		td, err := tdg.Build(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, core := range cs {
+			sc := referenceContext(t, td, core, reg.New())
+			for _, d := range ref.Designs {
+				if d.Core.Name != core.Name {
+					continue
 				}
-				t.Fatalf("cached and uncached sweeps diverge at byte %d:\ncached:   ...%s\nuncached: ...%s",
-					i, cb[lo:min(i+80, len(cb))], ub[lo:min(i+80, len(ub))])
+				cycles, energy, err := sc.Evaluate(sc.Oracle(d.BSAs))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := ref.AddBench(d.Code, BenchResult{
+					Bench: w.Name, Category: w.Category, Cycles: cycles, EnergyNJ: energy,
+				}); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-		t.Fatalf("cached doc (%d bytes) is a prefix of uncached doc (%d bytes)", len(cb), len(ub))
 	}
+	ref.Normalize()
+	return ref
+}
+
+// requireSameDoc fails unless got and ref render to byte-identical
+// exocore-result/v1 documents, quoting the first divergence.
+func requireSameDoc(t *testing.T, got, ref *Exploration) {
+	t.Helper()
+	gb, rb := reportDoc(t, got), reportDoc(t, ref)
+	if bytes.Equal(gb, rb) {
+		return
+	}
+	for i := range gb {
+		if i >= len(rb) || gb[i] != rb[i] {
+			lo := i - 80
+			if lo < 0 {
+				lo = 0
+			}
+			t.Fatalf("engine and reference sweeps diverge at byte %d:\nengine:    ...%s\nreference: ...%s",
+				i, gb[lo:min(i+80, len(gb))], rb[lo:min(i+80, len(rb))])
+		}
+	}
+	t.Fatalf("engine doc (%d bytes) is a prefix of reference doc (%d bytes)", len(gb), len(rb))
+}
+
+// TestCachedSweepByteIdentical is the end-to-end correctness gate for the
+// evaluation-unit cache: over the quick-set workloads on OOO2 and every
+// BSA subset, a sweep whose unit outcomes are memoized — cold, and again
+// warm on the same engine — must produce a byte-identical
+// exocore-result/v1 document to the uncached reference sweep.
+func TestCachedSweepByteIdentical(t *testing.T) {
+	const maxDyn = 10_000
+	ws := quickWorkloads(t)
+	cs := []cores.Config{cores.OOO2}
+	ref := referenceSweep(t, ws, cs, maxDyn)
+
+	eng := runner.New(runner.Options{MaxDyn: maxDyn})
+	cold, err := Explore(Options{Workloads: ws, Cores: cs, Engine: eng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ec := eng.Metrics().EvalCache; ec == nil || ec.Hits == 0 {
+		t.Fatalf("eval cache stats %+v: the sweep never reused a unit outcome", ec)
+	}
+	requireSameDoc(t, cold, ref)
+
+	warm, err := Explore(Options{Workloads: ws, Cores: cs, Engine: eng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameDoc(t, warm, ref)
 }
 
 // TestDeltaMatchesFullRun is the end-to-end correctness gate for the
-// incremental delta-evaluation path (baseline-relative segmentation,
-// prefix reuse, the cross-core shared pool): over the quick-set
-// workloads and all 16 BSA subsets, a sweep on the default delta engine
-// must produce a byte-identical exocore-result/v1 document to a sweep on
-// an engine with delta evaluation disabled (the -nodelta escape hatch).
+// incremental delta-evaluation path (cut set, prefix reuse, the
+// cross-core shared pool): over the quick-set workloads, IO2 and OOO2
+// and every BSA subset, the default engine's sweep must produce a
+// byte-identical exocore-result/v1 document to the uncached reference
+// sweep.
 func TestDeltaMatchesFullRun(t *testing.T) {
-	var ws []*workloads.Workload
-	for _, name := range cli.QuickSet {
-		w, err := workloads.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws = append(ws, w)
-	}
+	const maxDyn = 10_000
+	ws := quickWorkloads(t)
 	cs := []cores.Config{cores.IO2, cores.OOO2}
 
-	delta, err := Explore(Options{
+	got, err := Explore(Options{
 		Workloads: ws, Cores: cs,
-		Engine: runner.New(runner.Options{MaxDyn: 10_000}),
+		Engine: runner.New(runner.Options{MaxDyn: maxDyn}),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Explore(Options{
-		Workloads: ws, Cores: cs,
-		Engine: runner.New(runner.Options{MaxDyn: 10_000, NoDelta: true}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	db, fb := reportDoc(t, delta), reportDoc(t, full)
-	if !bytes.Equal(db, fb) {
-		for i := range db {
-			if i >= len(fb) || db[i] != fb[i] {
-				lo := i - 80
-				if lo < 0 {
-					lo = 0
-				}
-				t.Fatalf("delta and full sweeps diverge at byte %d:\ndelta: ...%s\nfull:  ...%s",
-					i, db[lo:min(i+80, len(db))], fb[lo:min(i+80, len(fb))])
-			}
-		}
-		t.Fatalf("delta doc (%d bytes) is a prefix of full doc (%d bytes)", len(db), len(fb))
-	}
+	requireSameDoc(t, got, referenceSweep(t, ws, cs, maxDyn))
 }
 
 // TestExploreReusesCache asserts the engine does strictly less redundant

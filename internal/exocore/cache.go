@@ -161,14 +161,13 @@ type Cache struct {
 	sigs   map[sigEdge]uint32
 	sigSeq uint32
 
-	// compOnce guards lazy construction of the delta composer for this
-	// cache's (TDG, bsas, plans) tuple.
-	compOnce sync.Once
-	comp     *composer
+	// cutsOnce guards lazy construction of the cut set for this cache's
+	// (TDG, bsas, plans) tuple.
+	cutsOnce sync.Once
+	cuts     []int32
 
 	// shared is the cross-core outcome pool for this cache's TDG,
-	// attached alongside the composer (so -nodelta runs never consult
-	// it); nil until composerFor runs.
+	// attached alongside the cut set; nil until cutsFor runs.
 	shared *sharedPool
 
 	// persist is the optional durable tier under this cache (see
@@ -225,15 +224,15 @@ func (c *Cache) Stats() CacheStats {
 	}
 }
 
-// composerFor returns the cache's delta composer, building it on first
-// use. The cache is documented to serve exactly one (TDG, bsas, plans)
-// tuple, so the first caller's arguments define it.
-func (c *Cache) composerFor(t *tdg.TDG, bsas map[string]tdg.BSA, plans map[string]*tdg.Plan) *composer {
-	c.compOnce.Do(func() {
-		c.comp = newComposer(t, bsas, plans)
+// cutsFor returns the cache's cut set, building it on first use. The
+// cache is documented to serve exactly one (TDG, bsas, plans) tuple, so
+// the first caller's arguments define it.
+func (c *Cache) cutsFor(t *tdg.TDG, bsas map[string]tdg.BSA, plans map[string]*tdg.Plan) []int32 {
+	c.cutsOnce.Do(func() {
+		c.cuts = cutSet(t, bsas, plans)
 		c.shared = sharedPoolFor(t)
 	})
-	return c.comp
+	return c.cuts
 }
 
 // nameIndexOf interns a BSA name to a small descriptor index (1-based;
@@ -554,12 +553,12 @@ func (w *segWorker) memBytes() int64 { return w.g.MemBytes() + w.gpp.MemBytes() 
 // instruction-ordered with no retroactive effects, so the (EndTime,
 // energy counts) snapshot after executing [start, b) inside a longer
 // evaluation is byte-identical to a fresh evaluation of the unit
-// [start, b) with the same segment structure. Cut boundaries — precomputed
-// by the composer — are the only indices where a core-resident unit can
-// end under any assignment, so publishing exactly there makes the
-// baseline lane (one unit spanning the whole trace) serve every
-// candidate's leading span, and solo-candidate lanes serve the
-// between-occurrence spans of multi-region designs.
+// [start, b) with the same segment structure. Cut boundaries — the
+// cache's cut set (see cutSet) — are the only indices where a
+// core-resident unit can end under any assignment, so publishing
+// exactly there makes the baseline lane (one unit spanning the whole
+// trace) serve every candidate's leading span, and solo-candidate lanes
+// serve the between-occurrence spans of multi-region designs.
 type publisher struct {
 	cache *Cache
 	descs []uint64 // the unit's per-segment descriptors

@@ -1,21 +1,20 @@
-// Delta composer: the assignment-independent trace structure behind
-// incremental evaluation. Built once per Cache (ie. once per
-// (benchmark, core) scheduling context), it lets every subsequent Run
-// segmentize in O(atoms) instead of O(trace × nest depth), and tells the
-// evaluator where future assignments may legally cut the trace so unit
-// evaluations can publish prefix outcomes (see publisher in cache.go).
+// Cut set: where delta evaluation publishes prefix outcomes. Built once
+// per Cache (ie. once per (benchmark, core) scheduling context), it tells
+// the evaluator where future assignments may legally cut the trace, so
+// unit evaluations can publish prefix outcomes there (see publisher in
+// cache.go) and later assignments pay only their delta.
 //
-// An *atom* is a maximal run of dynamic instructions whose static
-// instructions share the same assignable-loop chain — the finest
-// granularity at which any legal assignment can change segmentation.
-// Since Run validates assignments against the BSA plans, only loops
-// planned by at least one BSA ("assignable") can ever appear in an
-// assignment, so chains are restricted to those without changing the
-// result. For any assignment, every instruction of an atom resolves to
-// the same region, so segmentizing reduces to resolving each distinct
-// chain once and merging adjacent atoms — byte-identical to Segmentize
-// by construction (gated by TestComposerSegmentizeMatches and the
-// delta-vs-full equivalence tests).
+// Under any assignment, an offload segment for loop L starts exactly
+// where execution enters L from outside it: Segmentize puts every
+// instruction nested inside the outermost assigned loop into that loop's
+// segment, so an offload segment cannot begin in the middle of a run of
+// instructions nested inside it. Since Run validates assignments against
+// the BSA plans, only offload-planned loops can form such segments. The
+// cut set is therefore, for each offload-planned loop, the start of every
+// maximal run of dynamic instructions nested inside it — the only indices
+// (besides the trace end) where a core-resident unit can end. Gated by
+// TestCutSetMatchesReference and the sweep-vs-reference equivalence test
+// in internal/dse.
 package exocore
 
 import (
@@ -24,185 +23,51 @@ import (
 	"exocore/internal/tdg"
 )
 
-// atom is a maximal dynamic-instruction run with one assignable-loop
-// chain. chain indexes composer.chains; -1 means no assignable loop
-// encloses the run (it is always general-core).
-type atom struct {
-	start, end int32
-	chain      int32
-}
-
-// composer holds the precomputed structure. Immutable after build; safe
-// for concurrent segmentize calls.
-type composer struct {
-	atoms []atom
-	// chains lists the distinct assignable-loop chains, outermost first
-	// (so the first assigned loop found is the outermost — the same
-	// winner Segmentize's innermost-to-root walk keeps).
-	chains [][]int32
-	// cuts are the dynamic indices where a core-resident unit may end
-	// under some assignment: the start boundaries of occurrences of
-	// offload-plannable loops. Sorted ascending. Unit evaluations publish
-	// prefix outcomes exactly at these boundaries.
-	cuts []int32
-}
-
-// newComposer builds the composer for one (TDG, BSA set, plans) tuple.
-func newComposer(t *tdg.TDG, bsas map[string]tdg.BSA, plans map[string]*tdg.Plan) *composer {
-	c := &composer{}
-
-	// Assignable loops: union of all plan regions. Offloadable loops:
-	// those plannable by an offload BSA (unit boundaries can only form
-	// at their occurrence starts).
-	assignable := map[int]bool{}
-	offloadable := map[int]bool{}
-	for name, plan := range plans {
-		if plan == nil {
-			continue
-		}
-		off := bsas[name].OffloadsCore()
-		for l := range plan.Regions {
-			assignable[l] = true
-			if off {
-				offloadable[l] = true
-			}
-		}
-	}
-
-	// Chain per static instruction, interned. Chains are tiny (nest
-	// depth), static instruction counts are small, so a byte-key map is
-	// plenty.
+// cutSet computes the sorted cut set for one (TDG, BSA set, plans)
+// tuple in one pass over the TDG's innermost-loop atoms. Whether an
+// instruction is nested inside a loop depends only on its innermost
+// loop, so maximal nested runs begin at atom starts: an atom opens a run
+// of loop L when L encloses it but not the atom before it.
+func cutSet(t *tdg.TDG, bsas map[string]tdg.BSA, plans map[string]*tdg.Plan) []int32 {
 	nest := t.Nest
-	nStatic := len(t.Trace.Prog.Insts)
-	chainOfSI := make([]int32, nStatic)
-	interned := map[string]int32{}
-	var scratch []int32
-	var keyBuf []byte
-	for si := 0; si < nStatic; si++ {
-		scratch = scratch[:0]
-		for l := nest.InnermostOfInst(si); l != -1; l = nest.Loops[l].Parent {
-			if assignable[l] {
-				scratch = append(scratch, int32(l))
-			}
-		}
-		if len(scratch) == 0 {
-			chainOfSI[si] = -1
+	offload := make([]bool, len(nest.Loops))
+	for name, plan := range plans {
+		if plan == nil || !bsas[name].OffloadsCore() {
 			continue
 		}
-		// scratch is innermost-first; reverse to outermost-first.
-		for i, j := 0, len(scratch)-1; i < j; i, j = i+1, j-1 {
-			scratch[i], scratch[j] = scratch[j], scratch[i]
+		for l := range plan.Regions {
+			offload[l] = true
 		}
-		keyBuf = keyBuf[:0]
-		for _, l := range scratch {
-			keyBuf = append(keyBuf, byte(l), byte(l>>8), byte(l>>16), byte(l>>24))
-		}
-		id, ok := interned[string(keyBuf)]
-		if !ok {
-			id = int32(len(c.chains))
-			c.chains = append(c.chains, append([]int32(nil), scratch...))
-			interned[string(keyBuf)] = id
-		}
-		chainOfSI[si] = id
 	}
-
-	// Partition the trace into atoms.
-	insts := t.Trace.Insts
-	cur := atom{chain: -2}
-	for i := range insts {
-		ch := chainOfSI[insts[i].SI]
-		if ch != cur.chain {
-			if cur.chain != -2 {
-				c.atoms = append(c.atoms, cur)
+	// last[l] is one past the index of the latest atom loop l encloses
+	// (-1 before any).
+	last := make([]int, len(nest.Loops))
+	for l := range last {
+		last[l] = -1
+	}
+	var cuts []int32
+	for i, a := range t.LoopAtoms() {
+		cut := false
+		for l := int(a.Loop); l != -1; l = nest.Loops[l].Parent {
+			if offload[l] && last[l] != i {
+				cut = true
 			}
-			cur = atom{start: int32(i), end: int32(i + 1), chain: ch}
-		} else {
-			cur.end = int32(i + 1)
+			last[l] = i + 1
+		}
+		if cut {
+			cuts = append(cuts, a.Start)
 		}
 	}
-	if cur.chain != -2 {
-		c.atoms = append(c.atoms, cur)
-	}
-
-	// Cut set: for each offloadable loop, the start of every maximal
-	// atom run whose chain contains it. Under any assignment, an offload
-	// segment for loop L starts exactly where L first enters the
-	// outermost-assigned role — an atom boundary where L's chain
-	// membership begins — so these are the only indices where a
-	// core-resident unit can end (besides the trace end).
-	cutSet := map[int32]bool{}
-	for l := range offloadable {
-		l32 := int32(l)
-		in := false
-		for _, a := range c.atoms {
-			has := a.chain >= 0 && chainContains(c.chains[a.chain], l32)
-			if has && !in {
-				cutSet[a.start] = true
-			}
-			in = has
-		}
-	}
-	for cut := range cutSet {
-		c.cuts = append(c.cuts, cut)
-	}
-	sort.Slice(c.cuts, func(i, j int) bool { return c.cuts[i] < c.cuts[j] })
-	return c
+	return cuts
 }
 
-func chainContains(chain []int32, l int32) bool {
-	for _, x := range chain {
-		if x == l {
-			return true
-		}
-	}
-	return false
-}
-
-// segmentize splits the trace under an assignment by resolving each
-// distinct chain once and merging adjacent atoms — the O(atoms)
-// equivalent of Segmentize.
-func (c *composer) segmentize(assign Assignment) []Segment {
-	resolved := make([]int32, len(c.chains))
-	for i, ch := range c.chains {
-		r := int32(-1)
-		for _, l := range ch {
-			if _, ok := assign[int(l)]; ok {
-				r = l // outermost-first: first assigned wins
-				break
-			}
-		}
-		resolved[i] = r
-	}
-	segs := make([]Segment, 0, 16)
-	cur := Segment{LoopID: -2}
-	for _, a := range c.atoms {
-		region := -1
-		if a.chain >= 0 {
-			region = int(resolved[a.chain])
-		}
-		if region != cur.LoopID {
-			if cur.LoopID != -2 {
-				segs = append(segs, cur)
-			}
-			cur = Segment{LoopID: region, Start: int(a.start), End: int(a.end)}
-		} else {
-			cur.End = int(a.end)
-		}
-	}
-	if cur.LoopID != -2 {
-		segs = append(segs, cur)
-	}
-	return segs
-}
-
-// cutsIn returns the cut boundaries strictly inside (start, end) — the
-// indices at which a unit spanning [start, end) should publish prefix
-// outcomes.
-func (c *composer) cutsIn(start, end int) []int32 {
-	lo := sort.Search(len(c.cuts), func(i int) bool { return int(c.cuts[i]) > start })
-	hi := sort.Search(len(c.cuts), func(i int) bool { return int(c.cuts[i]) >= end })
+// cutsIn returns the cuts strictly inside (start, end) — the indices at
+// which a unit spanning [start, end) should publish prefix outcomes.
+func cutsIn(cuts []int32, start, end int) []int32 {
+	lo := sort.Search(len(cuts), func(i int) bool { return int(cuts[i]) > start })
+	hi := sort.Search(len(cuts), func(i int) bool { return int(cuts[i]) >= end })
 	if lo >= hi {
 		return nil
 	}
-	return c.cuts[lo:hi]
+	return cuts[lo:hi]
 }

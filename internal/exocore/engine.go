@@ -88,12 +88,6 @@ type RunOpts struct {
 	// arenas across Runs. It must have been created for the same core
 	// config and be used with a fixed (TDG, bsas, plans) tuple.
 	Cache *Cache
-	// NoDelta disables the incremental-evaluation machinery (atom-based
-	// segmentation and prefix-outcome publication) while keeping the unit
-	// cache itself — the A/B escape hatch behind the -nodelta flag. Full
-	// and delta evaluation are byte-identical (see TestDeltaMatchesFullRun);
-	// this exists to measure the difference and to bisect regressions.
-	NoDelta bool
 	// Span, when active, receives one child span per evaluation unit
 	// (annotated with cache hit/miss) with nested transform spans. The
 	// zero Span disables tracing at nil-check cost.
@@ -262,25 +256,14 @@ func (r *RunResult) CyclesOf(name string) int64 {
 // instead of the per-instruction nest walk this replaces, which was the
 // single largest cost of uncached evaluation.
 func Segmentize(t *tdg.TDG, assign Assignment) []Segment {
-	return segmentizeAtoms(t, assign, nil, nil)
-}
-
-// segmentizeAtoms is Segmentize with caller-owned scratch: segs becomes
-// the result's backing array and resolved the per-loop region memo
-// (grown as needed). Pass nil for fresh allocations.
-func segmentizeAtoms(t *tdg.TDG, assign Assignment, segs []Segment, resolved []int32) []Segment {
 	nest := t.Nest
-	atoms := t.LoopAtoms()
-	if cap(resolved) < len(nest.Loops)+1 {
-		resolved = make([]int32, len(nest.Loops)+1)
-	}
-	resolved = resolved[:len(nest.Loops)+1]
+	resolved := make([]int32, len(nest.Loops)+1)
 	for i := range resolved {
 		resolved[i] = -2 // not yet resolved; -1 means "general core"
 	}
-	segs = segs[:0]
+	segs := make([]Segment, 0, 16)
 	cur := Segment{LoopID: -2}
-	for _, a := range atoms {
+	for _, a := range t.LoopAtoms() {
 		region := resolved[a.Loop+1]
 		if region == -2 {
 			region = -1
@@ -327,17 +310,12 @@ func Run(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA,
 		}
 	}
 
-	// Delta path: the composer's precomputed atoms segmentize in
-	// O(atoms) and its cut set drives prefix-outcome publication.
-	var comp *composer
-	var segs []Segment
-	if opts.Cache != nil && !opts.NoDelta {
-		comp = opts.Cache.composerFor(t, bsas, plans)
-		segs = comp.segmentize(assign)
-	} else {
-		segs = Segmentize(t, assign)
+	// With a cache, the cut set drives prefix-outcome publication.
+	var cuts []int32
+	if opts.Cache != nil {
+		cuts = opts.Cache.cutsFor(t, bsas, plans)
 	}
-	units := unitize(t, segs, assign, bsas)
+	units := unitize(t, Segmentize(t, assign), assign, bsas)
 	res := &RunResult{Models: make([]ModelStat, 0, len(assign)+1)}
 
 	// One worker (graph + GPP arenas) serves every unit of this run,
@@ -400,7 +378,7 @@ func Run(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA,
 				// caches for the same TDG.
 				var shared *sharedPool
 				var shKey sharedKey
-				if comp != nil && len(u.segs) == 1 && u.names[0] != "" &&
+				if len(u.segs) == 1 && u.names[0] != "" &&
 					bsas[u.names[0]].OffloadsCore() {
 					shared = opts.Cache.shared
 					seg := u.segs[0]
@@ -442,18 +420,16 @@ func Run(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA,
 						}
 					}
 				}
-				// On the delta path, evaluating this unit also publishes
-				// outcomes for every cut-aligned prefix of it, so later
-				// assignments that cut the trace here pay only their delta.
+				// Evaluating this unit also publishes outcomes for every
+				// cut-aligned prefix of it, so later assignments that cut
+				// the trace here pay only their delta.
 				var pub *publisher
-				if comp != nil {
-					if cuts := comp.cutsIn(u.segs[0].Start, u.segs[len(u.segs)-1].End); len(cuts) > 0 {
-						pub = &publisher{
-							cache: opts.Cache,
-							descs: descScratch,
-							start: key.start,
-							cuts:  cuts,
-						}
+				if in := cutsIn(cuts, u.segs[0].Start, u.segs[len(u.segs)-1].End); len(in) > 0 {
+					pub = &publisher{
+						cache: opts.Cache,
+						descs: descScratch,
+						start: key.start,
+						cuts:  in,
 					}
 				}
 				o := evalUnit(w, t, bsas, plans, u, usp, opts.RecordRegions, window, pub)

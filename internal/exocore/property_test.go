@@ -91,10 +91,11 @@ func TestArbitraryAssignmentsAreSane(t *testing.T) {
 
 // TestRandomizedAssignmentsDeltaEqualsFull is the property-level gate for
 // the incremental delta-evaluation path: over a seeded corpus of random
-// assignments, a Run through the delta machinery (shared cache, atom
-// segmentation, prefix publication, cross-core shared pool) must agree
-// exactly — cycles, energy counts, model attribution, offload cycles and
-// per-region stats — with a from-scratch full Run on the same assignment.
+// assignments, a Run through the delta machinery (shared cache, prefix
+// publication at the cut set, cross-core shared pool) must agree exactly
+// — cycles, energy counts, model attribution, offload cycles and
+// per-region stats — with an uncached from-scratch Run on the same
+// assignment.
 // The cache is shared across the whole corpus so later assignments
 // exercise prefix reuse against outcomes published by earlier ones, and
 // both cores draw from the same process-wide shared-pool registry the way
@@ -154,7 +155,7 @@ func TestRandomizedAssignmentsDeltaEqualsFull(t *testing.T) {
 					t.Fatal(err)
 				}
 				full, err := Run(td, core, bsas, plans, assign,
-					RunOpts{NoDelta: true, RecordRegions: regions})
+					RunOpts{RecordRegions: regions})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -20,8 +20,8 @@ import (
 //
 // Only the baseline streams: BSA analyzers and transforms take random
 // access to the materialized trace, so assigned design points go
-// through Run. opts.Cache, RecordSegments, RecordRegions and NoDelta do
-// not apply; Span and Reg are honored (the "dg.graph_high_water_bytes"
+// through Run. opts.Cache, RecordSegments and RecordRegions do not
+// apply; Span and Reg are honored (the "dg.graph_high_water_bytes"
 // and "trace.chunk_high_water_bytes" gauges, and the
 // "eval.segment_len" histogram).
 func RunStream(src trace.Source, core cores.Config, opts RunOpts) (*RunResult, error) {

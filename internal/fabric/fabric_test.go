@@ -98,15 +98,39 @@ func TestSweepMatchesSingleDaemon(t *testing.T) {
 // bytes.
 func TestSweepSurvivesReplicaKilledMidSweep(t *testing.T) {
 	var served atomic.Int32
+	died := make(chan struct{})
 	dying := newReplica(t, func(h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/v1/sweep" && served.Add(1) > 1 {
-				panic(http.ErrAbortHandler) // connection torn down, like a killed process
+			if r.URL.Path == "/v1/sweep" {
+				n := served.Add(1)
+				if n == 2 {
+					close(died)
+				}
+				if n > 1 {
+					panic(http.ErrAbortHandler) // connection torn down, like a killed process
+				}
 			}
 			h.ServeHTTP(w, r)
 		})
 	})
-	healthy := newReplica(t, nil)
+	// The survivor holds its shards until the dying replica has been
+	// sent a second one, so work stealing cannot drain every shard
+	// before the replica dies. Its worker holds at most one of the six
+	// shards meanwhile, so the dying replica's worker always reaches a
+	// second; the time limit only keeps a regression from hanging.
+	healthy := newReplica(t, func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/sweep" {
+				select {
+				case <-died:
+				case <-r.Context().Done():
+					return
+				case <-time.After(30 * time.Second):
+				}
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
 	reg := obs.NewRegistry()
 	c, err := New(Config{Replicas: []string{dying.URL, healthy.URL}, Reg: reg})
 	if err != nil {

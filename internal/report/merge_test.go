@@ -100,3 +100,36 @@ func TestMergeRejections(t *testing.T) {
 	withMetrics.Metrics = &runner.Metrics{}
 	check("metrics attachment", "metrics", goodB, render(t, withMetrics))
 }
+
+// FuzzMerge feeds Merge one arbitrary part. Merge must never panic; when
+// it accepts the part, merging its output again must return identical
+// bytes (the output is itself a valid, canonically ordered part); and a
+// part with rows merged with itself must fail with the overlap error.
+// The seed corpus under testdata/fuzz/FuzzMerge holds a real partial
+// /v1/sweep shard.
+func FuzzMerge(f *testing.F) {
+	f.Add([]byte(`{"schema":"exocore-result/v1","tool":"t","results":[]}`))
+	f.Fuzz(func(t *testing.T, part []byte) {
+		out, err := Merge(part)
+		if err != nil {
+			return
+		}
+		again, err := Merge(out)
+		if err != nil {
+			t.Fatalf("merging the merged output failed: %v\noutput:\n%s", err, out)
+		}
+		if !bytes.Equal(again, out) {
+			t.Fatalf("merge is not idempotent:\nfirst:\n%s\nsecond:\n%s", out, again)
+		}
+		d, err := Decode(bytes.NewReader(out))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(d.Results) == 0 {
+			return
+		}
+		if _, err := Merge(part, part); err == nil || !strings.Contains(err.Error(), "overlaps part 0") {
+			t.Fatalf("merging a part with rows with itself: err = %v, want the overlap error", err)
+		}
+	})
+}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"exocore/internal/cores"
+	"exocore/internal/panics"
 )
 
 // A canceled ctx must abort every stage at its boundary with the ctx
@@ -139,5 +140,65 @@ func TestForEachCtxCancelStopsNewWork(t *testing.T) {
 	// MapCtx delegates to the same loop; spot-check the plumbing.
 	if _, err := MapCtx(ctx, e, 4, func(i int) (int, error) { return i, nil }); !errors.Is(err, context.Canceled) {
 		t.Fatalf("MapCtx err = %v, want context.Canceled", err)
+	}
+}
+
+// A panicking computation fails its caller and every waiter with a
+// *panics.Error instead of leaving them blocked, and is evicted like a
+// cancellation: the next lookup computes again.
+func TestMemoEvictsPanics(t *testing.T) {
+	var m memo[int]
+	release := make(chan struct{})
+	started := make(chan struct{})
+	waiterErr := make(chan error)
+	go func() {
+		<-started
+		// Release the computation once this waiter is (almost surely)
+		// blocked on it; should it lose that race and compute itself, its
+		// own computation panics too, so the assertions hold either way.
+		time.AfterFunc(10*time.Millisecond, func() { close(release) })
+		_, _, _, err := m.getCtx(context.Background(), "k", func(context.Context) (int, error) {
+			panic("boom")
+		})
+		waiterErr <- err
+	}()
+	_, _, _, err := m.getCtx(context.Background(), "k", func(context.Context) (int, error) {
+		close(started)
+		<-release
+		panic("boom")
+	})
+	if !panics.Is(err) {
+		t.Fatalf("computing caller err = %v, want a recovered panic", err)
+	}
+	if err := <-waiterErr; !panics.Is(err) {
+		t.Fatalf("waiter err = %v, want a recovered panic", err)
+	}
+	if m.len() != 0 {
+		t.Fatalf("memo kept %d entries after a panic, want 0", m.len())
+	}
+	v, hit, _, err := m.getCtx(context.Background(), "k", func(context.Context) (int, error) { return 42, nil })
+	if err != nil || hit || v != 42 {
+		t.Fatalf("lookup after panic = (%d, hit=%v, %v), want a fresh (42, false, nil)", v, hit, err)
+	}
+}
+
+// A panicking job fails its own index; the other jobs still run.
+func TestForEachRecoversPanics(t *testing.T) {
+	e := New(Options{MaxDyn: testMaxDyn, Workers: 2})
+	ran := make([]bool, 8)
+	err := e.ForEach(len(ran), func(i int) error {
+		ran[i] = true
+		if i == 5 {
+			panic("boom")
+		}
+		return nil
+	})
+	if !panics.Is(err) {
+		t.Fatalf("err = %v, want a recovered panic", err)
+	}
+	for i, r := range ran {
+		if !r {
+			t.Errorf("job %d did not run", i)
+		}
 	}
 }

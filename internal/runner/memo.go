@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"sync"
 	"time"
+
+	"exocore/internal/panics"
 )
 
 func defaultWorkers() int {
@@ -46,7 +48,9 @@ func (t *memo[V]) get(key string, compute func() (V, error)) (V, bool, time.Dura
 // computation that fails with the winner's cancellation (or deadline) is
 // evicted instead of cached, so the error cannot poison the memo for
 // future callers — essential for a long-lived serving engine where one
-// disconnected client must not wedge a (bench, core) key forever.
+// disconnected client must not wedge a (bench, core) key forever. A
+// computation that panics fails with a *panics.Error — its waiters get
+// the error instead of blocking forever — and is evicted the same way.
 func (t *memo[V]) getCtx(ctx context.Context, key string, compute func(context.Context) (V, error)) (V, bool, time.Duration, error) {
 	t.mu.Lock()
 	if t.m == nil {
@@ -67,8 +71,12 @@ func (t *memo[V]) getCtx(ctx context.Context, key string, compute func(context.C
 	t.mu.Unlock()
 
 	start := time.Now()
-	ent.val, ent.err = compute(ctx)
-	if ent.err != nil && (errors.Is(ent.err, context.Canceled) || errors.Is(ent.err, context.DeadlineExceeded)) {
+	func() {
+		defer panics.Recover(&ent.err)
+		ent.val, ent.err = compute(ctx)
+	}()
+	if ent.err != nil && (errors.Is(ent.err, context.Canceled) || errors.Is(ent.err, context.DeadlineExceeded) ||
+		panics.Is(ent.err)) {
 		t.mu.Lock()
 		if t.m[key] == ent {
 			delete(t.m, key)

@@ -14,6 +14,7 @@ import (
 	"exocore/internal/cores"
 	"exocore/internal/exocore"
 	"exocore/internal/obs"
+	"exocore/internal/panics"
 	"exocore/internal/tdg"
 )
 
@@ -39,23 +40,19 @@ type Context struct {
 
 	// Cache memoizes evaluation-unit outcomes across every Run this
 	// context issues (baseline, per-candidate solos, and Evaluate calls
-	// for full designs). Nil when the cache is disabled.
+	// for full designs). NewContextWith always creates it; a hand-built
+	// context with a nil Cache evaluates uncached.
 	Cache *exocore.Cache
 
 	BaseCycles   int64
 	BaseEnergyNJ float64
 	Candidates   []Candidate
 
-	reg     *obs.Registry
-	noDelta bool
+	reg *obs.Registry
 }
 
 // ContextOpts tunes context construction.
 type ContextOpts struct {
-	// NoSegmentCache disables unit-outcome memoization: every Run
-	// re-evaluates every unit from scratch. Used by the equivalence gate
-	// and for A/B measurement.
-	NoSegmentCache bool
 	// Reg, when non-nil, receives evaluation metrics (segment-length
 	// histogram, per-BSA offload counters) from every Run this context
 	// issues, including later Evaluate calls.
@@ -64,11 +61,6 @@ type ContextOpts struct {
 	// constructor issues (baseline plus each candidate solo). Inert spans
 	// cost a nil check.
 	Span obs.Span
-	// NoDelta disables the delta composer and prefix publication inside
-	// every Run this context issues (candidate solos and later Evaluate
-	// calls). The unit cache itself stays on unless NoSegmentCache is also
-	// set. A/B escape hatch behind the -nodelta flag.
-	NoDelta bool
 	// Workers bounds the number of candidate solo measurements run
 	// concurrently during construction. Values <= 1 keep the serial loop;
 	// an active Span also forces serial measurement because child spans
@@ -77,7 +69,7 @@ type ContextOpts struct {
 	// Persist, when non-nil, attaches a durable unit-outcome store under
 	// the context's cache, namespaced by PersistNS (which must uniquely
 	// identify the (trace, core, BSA set) tuple across restarts — see
-	// exocore.Cache.AttachPersist). Ignored with NoSegmentCache.
+	// exocore.Cache.AttachPersist).
 	Persist   exocore.Persist
 	PersistNS string
 }
@@ -90,12 +82,10 @@ func NewContext(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA) (*Contex
 
 // NewContextWith is NewContext with explicit options.
 func NewContextWith(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA, opts ContextOpts) (*Context, error) {
-	ctx := &Context{TDG: t, Core: core, BSAs: bsas, Plans: make(map[string]*tdg.Plan), reg: opts.Reg, noDelta: opts.NoDelta}
-	if !opts.NoSegmentCache {
-		ctx.Cache = exocore.NewCache(core, t.Trace.Len())
-		if opts.Persist != nil {
-			ctx.Cache.AttachPersist(opts.Persist, opts.PersistNS)
-		}
+	ctx := &Context{TDG: t, Core: core, BSAs: bsas, Plans: make(map[string]*tdg.Plan), reg: opts.Reg,
+		Cache: exocore.NewCache(core, t.Trace.Len())}
+	if opts.Persist != nil {
+		ctx.Cache.AttachPersist(opts.Persist, opts.PersistNS)
 	}
 	for name, b := range bsas {
 		ctx.Plans[name] = b.Analyze(t)
@@ -105,7 +95,7 @@ func NewContextWith(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA, opts
 		bsp = opts.Span.Child("run", "baseline")
 	}
 	base, err := exocore.Run(t, core, bsas, ctx.Plans, nil,
-		exocore.RunOpts{Cache: ctx.Cache, Span: bsp, Reg: opts.Reg, NoDelta: opts.NoDelta})
+		exocore.RunOpts{Cache: ctx.Cache, Span: bsp, Reg: opts.Reg})
 	bsp.End()
 	if err != nil {
 		return nil, fmt.Errorf("sched: baseline: %w", err)
@@ -138,10 +128,13 @@ func NewContextWith(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA, opts
 		}
 	}
 
-	measure := func(j job, sp obs.Span) (Candidate, error) {
+	// A panicking model fails its measurement, not the process: the
+	// parallel path runs measure on bare worker goroutines.
+	measure := func(j job, sp obs.Span) (_ Candidate, err error) {
+		defer panics.Recover(&err)
 		res, err := exocore.Run(t, core, bsas, ctx.Plans,
 			exocore.Assignment{j.loop: j.name},
-			exocore.RunOpts{Cache: ctx.Cache, Span: sp, Reg: opts.Reg, NoDelta: opts.NoDelta})
+			exocore.RunOpts{Cache: ctx.Cache, Span: sp, Reg: opts.Reg})
 		if err != nil {
 			return Candidate{}, fmt.Errorf("sched: candidate %s@L%d: %w", j.name, j.loop, err)
 		}
@@ -359,7 +352,7 @@ func (c *Context) Evaluate(assign exocore.Assignment) (int64, float64, error) {
 // registry the context was created with either way.
 func (c *Context) EvaluateSpan(assign exocore.Assignment, sp obs.Span) (int64, float64, error) {
 	res, err := exocore.Run(c.TDG, c.Core, c.BSAs, c.Plans, assign,
-		exocore.RunOpts{Cache: c.Cache, Span: sp, Reg: c.reg, NoDelta: c.noDelta})
+		exocore.RunOpts{Cache: c.Cache, Span: sp, Reg: c.reg})
 	if err != nil {
 		return 0, 0, err
 	}

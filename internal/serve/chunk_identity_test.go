@@ -13,12 +13,11 @@ import (
 
 // TestChunkedMatchesMaterializedDocuments is the user-visible identity
 // property behind the streaming pipeline: the exocore-result/v1 document
-// a tool emits must be byte-identical whether the engine synthesized its
-// traces through the legacy materialized path or streamed them in chunks
-// — across benchmarks, cores, and chunk sizes chosen to split traces at
-// awkward offsets (mid-block, mid-region, far from the compaction
-// stride). Runs under the -race gate: the chunked engines pipeline chunk
-// synthesis on a producer goroutine.
+// a tool emits must be byte-identical whether the engine synthesized each
+// trace in one chunk spanning the whole budget or streamed it in smaller
+// chunks — across benchmarks, cores, and chunk sizes chosen to split
+// traces at awkward offsets (mid-block, mid-region, far from the
+// compaction stride). Runs under the -race gate.
 func TestChunkedMatchesMaterializedDocuments(t *testing.T) {
 	const maxDyn = 8_000
 	coreNames := []string{"IO2", "OOO2"}
@@ -53,11 +52,11 @@ func TestChunkedMatchesMaterializedDocuments(t *testing.T) {
 		if !ok {
 			t.Fatalf("unknown core %s", coreName)
 		}
-		want := docBytes(-1, core) // legacy materialized path
+		want := docBytes(maxDyn, core) // one chunk holds the whole trace
 		for _, chunk := range []int{257, 4096, 0 /* default 1Mi */} {
 			got := docBytes(chunk, core)
 			if !bytes.Equal(got, want) {
-				t.Errorf("core %s chunk %d: document diverges from materialized path\n--- materialized ---\n%s\n--- chunked ---\n%s",
+				t.Errorf("core %s chunk %d: document diverges from the single-chunk trace\n--- single chunk ---\n%s\n--- chunked ---\n%s",
 					core.Name, chunk, firstDiff(want, got), firstDiff(got, want))
 			}
 		}

@@ -38,8 +38,10 @@
 // (singleflight, layered over the engine's stage memoization); a
 // bounded admission queue sheds load with 429 + Retry-After instead of
 // queueing without limit; every request carries a deadline and client
-// disconnects cancel work at pipeline-stage boundaries; shutdown drains
-// in-flight and async work before the process exits.
+// disconnects cancel work at pipeline-stage boundaries; a panicking
+// model fails its request with 500 (counted as serve.panics) while the
+// daemon keeps serving; shutdown drains in-flight and async work before
+// the process exits.
 package serve
 
 import (
@@ -57,6 +59,7 @@ import (
 
 	"exocore/internal/cores"
 	"exocore/internal/obs"
+	"exocore/internal/panics"
 	"exocore/internal/report"
 	"exocore/internal/runner"
 	"exocore/internal/store"
@@ -133,6 +136,7 @@ type Server struct {
 	rec    *recorder
 
 	mRequests, mEvaluations, mCoalesced, mRejected *obs.Counter
+	mPanics                                        *obs.Counter
 	mStatus2xx, mStatus4xx, mStatus5xx             *obs.Counter
 	gInflight, gQueued                             *obs.Gauge
 	gDroppedSpans, gRetainedSpans                  *obs.Gauge
@@ -194,6 +198,7 @@ func New(cfg Config) (*Server, error) {
 		mEvaluations:   reg.Counter("serve.evaluations"),
 		mCoalesced:     reg.Counter("serve.coalesced"),
 		mRejected:      reg.Counter("serve.rejected"),
+		mPanics:        reg.Counter("serve.panics"),
 		mStatus2xx:     reg.Counter("serve.status.2xx"),
 		mStatus4xx:     reg.Counter("serve.status.4xx"),
 		mStatus5xx:     reg.Counter("serve.status.5xx"),
@@ -374,7 +379,16 @@ func (s *Server) timeoutFor(deadlineMS int) time.Duration {
 func (s *Server) buildBytes(ctx context.Context, key string, timeout time.Duration, build func(context.Context) ([]byte, error)) ([]byte, error) {
 	st := statsFrom(ctx)
 	reqID := obs.RequestID(ctx)
-	body, shared, err := s.flights.do(ctx, key, timeout, func(fctx context.Context) ([]byte, error) {
+	body, shared, err := s.flights.do(ctx, key, timeout, func(fctx context.Context) (_ []byte, err error) {
+		// The flight runs on its own goroutine, so a panicking model is
+		// recovered here: it fails the flight (500), not the daemon.
+		defer func() {
+			if pe := (*panics.Error)(nil); errors.As(err, &pe) {
+				s.mPanics.Add(1)
+				s.log.Error("evaluation panicked", "err", pe, "stack", string(pe.Stack))
+			}
+		}()
+		defer panics.Recover(&err)
 		fctx = obs.WithRequestID(fctx, reqID)
 		release, wait, err := s.admit(fctx)
 		if err != nil {

@@ -33,8 +33,9 @@ type SourceConfig struct {
 // Next synthesizes one chunk of dynamic instructions on demand (resumable
 // functional simulation) and annotates it with cache latencies and branch
 // predictions, with all model state carried across chunk boundaries.
-// Drained non-loop sources yield byte-for-byte the instructions TraceWith
-// materializes, at every chunk size. Buffers recycle through a pool, so
+// Drained non-loop sources yield byte-for-byte the trace a whole-trace
+// sim.Run plus cache and branch-predictor annotation produces, at every
+// chunk size. Buffers recycle through a pool, so
 // resident trace memory is O(chunks in flight) regardless of MaxDyn.
 //
 // Build cannot fail, so construction always succeeds; simulation faults

@@ -4,6 +4,9 @@ import (
 	"reflect"
 	"testing"
 
+	"exocore/internal/bpred"
+	"exocore/internal/cache"
+	"exocore/internal/sim"
 	"exocore/internal/trace"
 )
 
@@ -27,12 +30,31 @@ func TestStreamExemplarsCoverFamilies(t *testing.T) {
 	}
 }
 
+// referenceTrace is the whole-trace producer the chunked source must
+// reproduce: one sim.Run over the whole budget, then whole-trace cache
+// and branch-predictor annotation.
+func referenceTrace(t *testing.T, w *Workload, maxDyn int) *trace.Trace {
+	t.Helper()
+	p, prep := w.Build()
+	st := sim.NewState()
+	if prep != nil {
+		prep(st)
+	}
+	tr, err := sim.Run(p, st, sim.Config{MaxDyn: maxDyn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache.DefaultHierarchy().Annotate(tr)
+	bpred.New(bpred.DefaultConfig()).Annotate(tr)
+	return tr
+}
+
 // TestSourceMatchesTrace is the family-coverage identity gate: for every
 // family's exemplar kernel, draining the generator-driven source at
-// several chunk sizes must reproduce the materialized TraceWith bytes
-// exactly — same instructions, same cache annotations, same
-// branch-predictor flags — and the source's merged per-chunk statistics
-// must equal the whole-trace scan.
+// several chunk sizes (and through Trace) must reproduce the whole-trace
+// reference bytes exactly — same instructions, same cache annotations,
+// same branch-predictor flags — and the source's merged per-chunk
+// statistics must equal the whole-trace scan.
 func TestSourceMatchesTrace(t *testing.T) {
 	const maxDyn = 30_000
 	for _, name := range StreamExemplars() {
@@ -40,9 +62,13 @@ func TestSourceMatchesTrace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := w.Trace(maxDyn)
+		want := referenceTrace(t, w, maxDyn)
+		got, err := w.Trace(maxDyn)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Insts, want.Insts) {
+			t.Fatalf("%s: Trace differs from the whole-trace reference", name)
 		}
 		for _, chunk := range []int{1, 257, 4096, 1 << 20} {
 			src := w.Source(SourceConfig{MaxDyn: maxDyn, ChunkInsts: chunk})
@@ -51,7 +77,7 @@ func TestSourceMatchesTrace(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got.Insts, want.Insts) {
-				t.Fatalf("%s chunk %d: streamed trace differs from materialized", name, chunk)
+				t.Fatalf("%s chunk %d: streamed trace differs from the whole-trace reference", name, chunk)
 			}
 			if st := src.Stats(); st != want.ComputeStats() {
 				t.Fatalf("%s chunk %d: source stats %+v != trace stats %+v",

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"sort"
 
-	"exocore/internal/bpred"
 	"exocore/internal/cache"
 	"exocore/internal/prog"
 	"exocore/internal/sim"
@@ -144,18 +143,15 @@ func (w *Workload) Trace(maxDyn int) (*trace.Trace, error) {
 
 // TraceWith is Trace with a caller-supplied cache hierarchy (memory-system
 // ablations). The hierarchy must be fresh: annotation mutates its state.
+// It drains the workload's chunked Source, the one trace producer.
 func (w *Workload) TraceWith(maxDyn int, h *cache.Hierarchy) (*trace.Trace, error) {
-	p, prep := w.Build()
-	st := sim.NewState()
-	if prep != nil {
-		prep(st)
+	if maxDyn <= 0 {
+		maxDyn = sim.DefaultMaxDyn
 	}
-	tr, err := sim.Run(p, st, sim.Config{MaxDyn: maxDyn})
+	tr, err := trace.Materialize(w.Source(SourceConfig{MaxDyn: maxDyn, Hierarchy: h}), min(maxDyn, 1<<16))
 	if err != nil {
-		return nil, fmt.Errorf("workloads: %s: %w", w.Name, err)
+		return nil, err
 	}
-	h.Annotate(tr)
-	bpred.New(bpred.DefaultConfig()).Annotate(tr)
 	return tr, nil
 }
 

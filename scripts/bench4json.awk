@@ -3,8 +3,8 @@
 # frozen pre-delta-evaluation baseline (commit 9a0538e, same machine
 # class) so regressions are visible without re-running the old code.
 # ContextConstruction is new in this change; its baseline is the same
-# code path with delta evaluation disabled (-nodelta: no composer, no
-# prefix publication, no cross-core shared pool).
+# code path with delta evaluation disabled (no prefix publication, no
+# cross-core shared pool), a mode the engine no longer offers.
 #
 # Usage: go test -bench 'BenchmarkExocoreRun|BenchmarkDSESweep|BenchmarkContextConstruction' \
 #        -benchmem . | awk -f scripts/bench4json.awk > BENCH_4.json
