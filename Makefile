@@ -21,12 +21,13 @@ vet:
 
 # Race-enabled run of the concurrency-sensitive packages (the runner
 # engine, the exploration that fans out over it, the evaluation cache
-# with its sharded outcome map and cross-core shared pool, the serving
-# layer's singleflight/admission machinery, the fabric's shard
+# with its sharded outcome map and cross-core shared pool, the
+# scheduling context's per-BSA singleflight candidate measurement, the
+# serving layer's singleflight/admission machinery, the fabric's shard
 # dispatcher with its work-stealing workers, and the persistent store's
 # locked LRU index).
 race:
-	$(GO) test -race -count=1 ./internal/runner ./internal/dse ./internal/exocore ./internal/serve ./internal/fabric ./internal/store
+	$(GO) test -race -count=1 ./internal/runner ./internal/dse ./internal/exocore ./internal/sched ./internal/serve ./internal/fabric ./internal/store
 
 # Tier-1 suite (ROADMAP.md): everything must build and all tests pass.
 tier1:
@@ -114,6 +115,7 @@ fabricsmoke:
 fuzzsmoke:
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzOpenSegment$$' -fuzztime 10s
 	$(GO) test ./internal/report -run '^$$' -fuzz '^FuzzMerge$$' -fuzztime 10s
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzEvalRequest$$' -fuzztime 10s
 
 # Streaming-evaluation memory gate: a 10M-instruction trace through the
 # baseline engine must stay inside a fixed memory budget — the µDG is

@@ -6,6 +6,7 @@
 package bench
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -175,8 +176,9 @@ func BenchmarkDSESweep(b *testing.B) {
 	}
 }
 
-// BenchmarkContextConstruction measures building one scheduling context —
-// the baseline run plus every per-candidate solo measurement — which is
+// BenchmarkContextConstruction measures building one scheduling context
+// and measuring every BSA's candidates — plans, the baseline run plus
+// every per-candidate solo measurement — which is
 // where a fresh sweep spends most of its time. Exercises the cut set,
 // prefix publication and the cross-core shared pool on a cold cache each
 // iteration. Tracked in BENCH_7.json.
@@ -194,10 +196,15 @@ func BenchmarkContextConstruction(b *testing.B) {
 		b.Fatal(err)
 	}
 	bsas := bsa.Standard().New()
+	names := bsa.Standard().Names()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sched.NewContext(td, cores.OOO2, bsas); err != nil {
+		ctx, err := sched.NewContext(td, cores.OOO2, bsas)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := ctx.Measure(context.Background(), names, nil, ""); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -49,7 +49,7 @@ func main() {
 		if err != nil {
 			app.Fail(err)
 		}
-		ctx, err := eng.Context(wl, core)
+		ctx, err := eng.Solos(wl, core, avail)
 		if err != nil {
 			app.Fail(err)
 		}

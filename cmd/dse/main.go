@@ -88,8 +88,12 @@ func reportRegions(app *cli.App, code string, doc *report.Document) error {
 		return err
 	}
 	avail := eng.BSAs().SubsetNames(mask)
+	var need []string // the Amdahl tree needs no solos
+	if !app.UseAmdahl() {
+		need = avail
+	}
 	for _, wl := range app.Workloads() {
-		sc, err := eng.Context(wl, core)
+		sc, err := eng.Solos(wl, core, need)
 		if err != nil {
 			return err
 		}

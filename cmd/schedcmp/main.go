@@ -45,7 +45,7 @@ func main() {
 	}
 	rows, err := runner.Map(eng, len(wls), func(i int) (row, error) {
 		wl := wls[i]
-		ctx, err := eng.Context(wl, core)
+		ctx, err := eng.Solos(wl, core, avail)
 		if err != nil {
 			return row{}, err
 		}

@@ -44,11 +44,15 @@ func emit(app *cli.App, doc *report.Document, wl *workloads.Workload) error {
 	if err != nil {
 		return err
 	}
-	ctx, err := eng.Context(wl, core)
+	avail := app.Registry().Names()
+	var need []string // the Amdahl tree needs no solos
+	if !app.UseAmdahl() {
+		need = avail
+	}
+	ctx, err := eng.Solos(wl, core, need)
 	if err != nil {
 		return err
 	}
-	avail := app.Registry().Names()
 	var assign exocore.Assignment
 	if app.UseAmdahl() {
 		assign = ctx.AmdahlTree(avail)

@@ -93,7 +93,11 @@ func run(app *cli.App, wl *workloads.Workload, fuse bool) error {
 	if err != nil {
 		return err
 	}
-	ctx, err := eng.Context(wl, core)
+	var need []string // the Amdahl tree needs no solos
+	if !app.UseAmdahl() {
+		need = names
+	}
+	ctx, err := eng.Solos(wl, core, need)
 	if err != nil {
 		return err
 	}

@@ -22,9 +22,11 @@ func main() {
 		log.Fatal(err)
 	}
 	// The engine builds trace → TDG → scheduling context in one cached
-	// call; a second Context lookup would be free.
+	// call, measuring the candidate solos the Oracle below reads; a
+	// second lookup would be free.
+	avail := []string{"SIMD", "DP-CGRA", "NS-DF", "Trace-P"}
 	eng := runner.New(runner.Options{MaxDyn: 60000})
-	ctx, err := eng.Context(wl, cores.OOO2)
+	ctx, err := eng.Solos(wl, cores.OOO2, avail)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,7 +53,6 @@ func main() {
 		fmt.Println()
 	}
 
-	avail := []string{"SIMD", "DP-CGRA", "NS-DF", "Trace-P"}
 	for _, s := range []struct {
 		name   string
 		assign map[int]string

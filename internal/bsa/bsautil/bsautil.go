@@ -141,11 +141,13 @@ var dfPool = sync.Pool{New: func() any {
 // dfStoreTab is an open-addressed address → completion-node table for
 // store-to-load forwarding, replacing a Go map on the per-op hot path.
 // Keys are word-aligned addresses tagged with bit 0 (addresses have the
-// low three bits clear) so the zero key can mean "empty slot".
+// low three bits clear) so the zero key can mean "empty slot". slots
+// lists the occupied slot indices, so clear, forEach and grow cost
+// O(live entries) however large one earlier region grew the arrays.
 type dfStoreTab struct {
 	keys  []uint64
 	nodes []dg.NodeID
-	used  int
+	slots []int32
 }
 
 const dfStoreTabInitSize = 1024
@@ -154,10 +156,11 @@ func (t *dfStoreTab) clear() {
 	if t.keys == nil {
 		t.keys = make([]uint64, dfStoreTabInitSize)
 		t.nodes = make([]dg.NodeID, dfStoreTabInitSize)
-	} else {
-		clear(t.keys)
 	}
-	t.used = 0
+	for _, i := range t.slots {
+		t.keys[i] = 0
+	}
+	t.slots = t.slots[:0]
 }
 
 func (t *dfStoreTab) get(addr uint64) (dg.NodeID, bool) {
@@ -174,7 +177,7 @@ func (t *dfStoreTab) get(addr uint64) (dg.NodeID, bool) {
 }
 
 func (t *dfStoreTab) set(addr uint64, n dg.NodeID) {
-	if 2*(t.used+1) > len(t.keys) {
+	if 2*(len(t.slots)+1) > len(t.keys) {
 		t.grow()
 	}
 	k := addr | 1
@@ -186,31 +189,31 @@ func (t *dfStoreTab) set(addr uint64, n dg.NodeID) {
 			return
 		case 0:
 			t.keys[i], t.nodes[i] = k, n
-			t.used++
+			t.slots = append(t.slots, int32(i))
 			return
 		}
 	}
 }
 
 func (t *dfStoreTab) grow() {
-	oldKeys, oldNodes := t.keys, t.nodes
+	oldKeys, oldNodes, oldSlots := t.keys, t.nodes, t.slots
 	t.keys = make([]uint64, 2*len(oldKeys))
 	t.nodes = make([]dg.NodeID, 2*len(oldNodes))
-	t.used = 0
-	for i, k := range oldKeys {
-		if k != 0 {
-			t.set(k&^1, oldNodes[i])
-		}
+	t.slots = make([]int32, 0, 2*cap(oldSlots))
+	for _, i := range oldSlots {
+		t.set(oldKeys[i]&^1, oldNodes[i])
 	}
 }
 
+// forEach visits every entry, in insertion order.
 func (t *dfStoreTab) forEach(f func(addr uint64, n dg.NodeID)) {
-	for i, k := range t.keys {
-		if k != 0 {
-			f(k&^1, t.nodes[i])
-		}
+	for _, i := range t.slots {
+		f(t.keys[i]&^1, t.nodes[i])
 	}
 }
+
+// len reports the number of entries.
+func (t *dfStoreTab) len() int { return len(t.slots) }
 
 // NewDataflow returns an executor whose inputs become available at the
 // entry node (live-in transfer complete). The executor is pooled: pair
@@ -358,7 +361,7 @@ func (d *Dataflow) Exec(in *isa.Inst, dyn *trace.DynInst, dynIdx int32) dg.NodeI
 	}
 	if in.Op.IsStore() {
 		d.stores.set(dyn.Addr&^7, p)
-		if d.stores.used > 8192 {
+		if d.stores.len() > 8192 {
 			d.stores.clear()
 			d.stores.set(dyn.Addr&^7, p)
 		}

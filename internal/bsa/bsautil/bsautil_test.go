@@ -294,3 +294,47 @@ func TestDataflowLeanTimesIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestDfStoreTabMatchesMap drives the store table through growth and
+// clears against a map reference: every lookup agrees, forEach visits
+// exactly the live entries once, and clear empties the table however
+// large it grew.
+func TestDfStoreTabMatchesMap(t *testing.T) {
+	var tab dfStoreTab
+	tab.clear()
+	for round, n := range []int{10, 5000, 3, 20000, 0, 700} {
+		ref := map[uint64]dg.NodeID{}
+		for i := 0; i < n; i++ {
+			addr := uint64(i*7919%(n+1)) * 8 // repeats overwrite
+			tab.set(addr, dg.NodeID(i))
+			ref[addr] = dg.NodeID(i)
+		}
+		if tab.len() != len(ref) {
+			t.Fatalf("round %d: %d entries, want %d", round, tab.len(), len(ref))
+		}
+		for addr, want := range ref {
+			if got, ok := tab.get(addr); !ok || got != want {
+				t.Fatalf("round %d: get(%#x) = %v, %t; want %v", round, addr, got, ok, want)
+			}
+		}
+		if _, ok := tab.get(uint64(n+1) * 8); ok {
+			t.Fatalf("round %d: absent address found", round)
+		}
+		seen := map[uint64]bool{}
+		tab.forEach(func(addr uint64, node dg.NodeID) {
+			if seen[addr] || ref[addr] != node {
+				t.Fatalf("round %d: forEach visited (%#x, %v) wrongly", round, addr, node)
+			}
+			seen[addr] = true
+		})
+		if len(seen) != len(ref) {
+			t.Fatalf("round %d: forEach visited %d entries, want %d", round, len(seen), len(ref))
+		}
+		tab.clear()
+		for _, k := range tab.keys {
+			if k != 0 {
+				t.Fatalf("round %d: clear left a key", round)
+			}
+		}
+	}
+}

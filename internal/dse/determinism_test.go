@@ -329,3 +329,38 @@ func TestSharedEngineAcrossExplorations(t *testing.T) {
 		t.Error("cached re-exploration produced different results")
 	}
 }
+
+// TestSweepSoloAccounting: an Oracle sweep measures every planned
+// candidate solo of every (bench, core) context exactly once, in phase
+// 1, and an Amdahl sweep measures none.
+func TestSweepSoloAccounting(t *testing.T) {
+	ws := detWorkloads(t)
+	cs := []cores.Config{cores.IO2, cores.OOO2}
+	for _, amdahl := range []bool{false, true} {
+		eng := runner.New(runner.Options{MaxDyn: 10_000})
+		if _, err := Explore(Options{Workloads: ws, Cores: cs, Engine: eng, UseAmdahl: amdahl}); err != nil {
+			t.Fatal(err)
+		}
+		var want int64
+		if !amdahl {
+			for _, w := range ws {
+				for _, core := range cs {
+					sc, err := eng.Context(w, core)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, p := range sc.Plans {
+						want += int64(len(p.Regions) * sc.TDG.Trace.Len())
+					}
+				}
+			}
+		}
+		s := eng.Metrics().Stage(runner.StageSolos)
+		if s.Insts != want {
+			t.Errorf("amdahl=%t: solo instructions %d, want %d", amdahl, s.Insts, want)
+		}
+		if !amdahl && s.Misses != int64(len(ws)*len(cs)) {
+			t.Errorf("solo measurements = %d, want one per bench×core (%d)", s.Misses, len(ws)*len(cs))
+		}
+	}
+}

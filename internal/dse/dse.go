@@ -173,7 +173,13 @@ func ExploreCtx(ctx context.Context, opts Options) (*Exploration, error) {
 	}
 
 	// Phase 1: warm the per-(bench, core) scheduling contexts in
-	// parallel. The engine computes each exactly once.
+	// parallel. The engine computes each exactly once. An Oracle sweep
+	// also measures every BSA's solos here, so phase 2 only reads them;
+	// the Amdahl tree needs none.
+	var need []string
+	if !opts.UseAmdahl {
+		need = reg.Names()
+	}
 	type pair struct {
 		w    *workloads.Workload
 		core cores.Config
@@ -185,7 +191,7 @@ func ExploreCtx(ctx context.Context, opts Options) (*Exploration, error) {
 		}
 	}
 	if err := eng.ForEachCtx(ctx, len(pairs), func(i int) error {
-		_, err := eng.ContextCtx(ctx, pairs[i].w, pairs[i].core)
+		_, err := eng.SolosCtx(ctx, pairs[i].w, pairs[i].core, need)
 		return err
 	}); err != nil {
 		return nil, err

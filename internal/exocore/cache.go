@@ -335,13 +335,20 @@ func (c *Cache) lookup(k unitKey) *unitOutcome {
 
 // store memoizes an outcome, returning the winning entry if another
 // goroutine computed the same key concurrently (outcomes are
-// deterministic, so either copy is correct).
-func (c *Cache) store(k unitKey, o *unitOutcome) *unitOutcome {
+// deterministic, so either copy is correct). With classes set the
+// caller needs class attribution: a winner without it — stored by a
+// lean run, or a published prefix — is upgraded to o instead.
+func (c *Cache) store(k unitKey, o *unitOutcome, classes bool) *unitOutcome {
 	s := c.shardOf(k)
 	s.mu.Lock()
 	if prev := s.m[k]; prev != nil {
+		if !classes || prev.segClasses != nil {
+			s.mu.Unlock()
+			return prev
+		}
+		s.m[k] = o
 		s.mu.Unlock()
-		return prev
+		return o
 	}
 	s.m[k] = o
 	s.mu.Unlock()

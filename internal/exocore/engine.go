@@ -389,7 +389,7 @@ func Run(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA,
 					}
 					if so := shared.lookup(shKey); so != nil &&
 						(!opts.RecordRegions || so.segClasses != nil) {
-						out = opts.Cache.store(key, so)
+						out = opts.Cache.store(key, so, opts.RecordRegions)
 						opts.Cache.sharedHits.Add(1)
 						// Write shared hits through too: the sibling core's
 						// evaluation persisted under its own namespace, so
@@ -415,7 +415,7 @@ func Run(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA,
 					pkeyScratch = opts.Cache.persistKey(&u, pkeyScratch)
 					if raw, ok := persist.Get(pkeyScratch); ok {
 						if po := decodeOutcome(raw); po != nil && po.n() == len(u.segs) {
-							out = opts.Cache.store(key, po)
+							out = opts.Cache.store(key, po, false)
 							break
 						}
 					}
@@ -433,7 +433,7 @@ func Run(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA,
 					}
 				}
 				o := evalUnit(w, t, bsas, plans, u, usp, opts.RecordRegions, window, pub)
-				out = opts.Cache.store(key, &o)
+				out = opts.Cache.store(key, &o, opts.RecordRegions)
 				if persist != nil {
 					pvalScratch = encodeOutcome(out, pvalScratch)
 					persist.Put(pkeyScratch, pvalScratch)

@@ -14,13 +14,14 @@ import (
 )
 
 // fullPipeline drives every stage for one benchmark: trace, tdg, sched
-// (via Context) and eval (via Evaluate with the Oracle assignment).
+// and solos (via Solos) and eval (via Evaluate with the Oracle
+// assignment).
 func fullPipeline(e *Engine, name string) error {
 	w, err := workloads.ByName(name)
 	if err != nil {
 		return err
 	}
-	sc, err := e.Context(w, cores.OOO2)
+	sc, err := e.Solos(w, cores.OOO2, e.BSAs().Names())
 	if err != nil {
 		return err
 	}

@@ -28,9 +28,12 @@ func TestEngineWarmRestartThroughStore(t *testing.T) {
 
 	reg1 := obs.NewRegistry()
 	e1 := New(Options{MaxDyn: testMaxDyn, Persist: open(reg1), Reg: reg1})
-	sc, err := e1.Context(w, cores.OOO2)
+	sc, err := e1.Solos(w, cores.OOO2, e1.BSAs().Names())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(sc.Candidates) == 0 {
+		t.Fatal("no candidates after measuring every BSA")
 	}
 	for _, c := range sc.Candidates {
 		assigns = append(assigns, map[int]string{c.LoopID: c.BSA})

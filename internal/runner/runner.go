@@ -39,14 +39,15 @@ const (
 	StageTrace = "trace"
 	StageTDG   = "tdg"
 	StageSched = "sched"
+	StageSolos = "solos"
 	StageEval  = "eval"
 )
 
-var stageOrder = []string{StageTrace, StageTDG, StageSched, StageEval}
+var stageOrder = []string{StageTrace, StageTDG, StageSched, StageSolos, StageEval}
 
 // Event describes one cache lookup, delivered to the progress callback.
 type Event struct {
-	Stage    string        // StageTrace, StageTDG, StageSched or StageEval
+	Stage    string        // StageTrace, StageTDG, StageSched, StageSolos or StageEval
 	Key      string        // "bench" or "bench/core[/assignment]"
 	CacheHit bool          // true when the artifact was already cached
 	Wall     time.Duration // compute time (zero on hits)
@@ -383,8 +384,8 @@ func (e *Engine) TDGFor(key string, tr *trace.Trace) (*tdg.TDG, error) {
 }
 
 // Context returns the (benchmark, core) scheduling context — plans for
-// all four BSAs, the baseline measurement and every solo candidate
-// measurement — computing it at most once per Engine.
+// every BSA and the baseline measurement — computing it at most once
+// per Engine. Candidate solos are measured on demand: see Solos.
 func (e *Engine) Context(w *workloads.Workload, core cores.Config) (*sched.Context, error) {
 	return e.ContextCtx(context.Background(), w, core)
 }
@@ -420,6 +421,38 @@ func (e *Engine) ContextCtx(ctx context.Context, w *workloads.Workload, core cor
 	}
 	e.account(ctx, StageSched, key, hit, wall, insts)
 	return sc, err
+}
+
+// Solos returns the (benchmark, core) scheduling context with the
+// candidate solos of every named BSA measured, so Oracle over those
+// names reads measurements only. Each (context, BSA) is measured at
+// most once per Engine, on the engine's worker bound. AmdahlTree needs
+// no solos: with no names Solos is Context, and accounts nothing under
+// StageSolos.
+func (e *Engine) Solos(w *workloads.Workload, core cores.Config, names []string) (*sched.Context, error) {
+	return e.SolosCtx(context.Background(), w, core, names)
+}
+
+// SolosCtx is Solos with cancellation: a done ctx stops workers from
+// starting further solos. A measurement that fails, panics or is
+// canceled fails this call and is not kept, so the next call for the
+// BSA runs it again. The lookup accounts under StageSolos: a hit when
+// every named BSA was already measured (or measured by a concurrent
+// caller), a miss with the wall time and solo instructions otherwise.
+func (e *Engine) SolosCtx(ctx context.Context, w *workloads.Workload, core cores.Config, names []string) (*sched.Context, error) {
+	sc, err := e.ContextCtx(ctx, w, core)
+	if err != nil || len(names) == 0 {
+		return sc, err
+	}
+	key := w.Name + "/" + core.Name
+	start := time.Now()
+	n, err := sc.Measure(ctx, names, e.tracer, StageSolos+" "+key)
+	wall := time.Since(start)
+	e.account(ctx, StageSolos, key, n == 0 && err == nil, wall, int64(n)*int64(sc.TDG.Trace.Len()))
+	if err != nil {
+		return nil, err
+	}
+	return sc, nil
 }
 
 // persistNS derives the durable-store namespace for one scheduling

@@ -7,9 +7,13 @@
 package sched
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
+	"sync"
+	"sync/atomic"
 
 	"exocore/internal/cores"
 	"exocore/internal/exocore"
@@ -46,25 +50,51 @@ type Context struct {
 
 	BaseCycles   int64
 	BaseEnergyNJ float64
-	Candidates   []Candidate
+	// Candidates lists the solo measurements in (BSA name, loop) order.
+	// A hand-built context fills it in and Oracle reads it as is. A
+	// NewContextWith context measures candidates on demand (see Measure)
+	// and sets Candidates once every BSA is measured.
+	Candidates []Candidate
 
-	reg *obs.Registry
+	reg   *obs.Registry
+	solos *solos // nil on a hand-built context
+}
+
+// solos is the demand-driven candidate state of a NewContextWith
+// context: which BSAs have their solos measured, and which are being
+// measured right now.
+type solos struct {
+	workers int
+	names   []string // every BSA of the context, sorted
+
+	// all is set once every BSA is measured, after Context.Candidates
+	// holds the complete list: from then on Oracle reads Candidates
+	// without locking.
+	all atomic.Bool
+
+	mu       sync.Mutex
+	measured map[string][]Candidate // per BSA, in loop order
+	flights  map[string]*flight     // measurements in progress
+}
+
+// flight is one BSA's measurement in progress; err is set before done
+// closes.
+type flight struct {
+	done chan struct{}
+	err  error
 }
 
 // ContextOpts tunes context construction.
 type ContextOpts struct {
 	// Reg, when non-nil, receives evaluation metrics (segment-length
 	// histogram, per-BSA offload counters) from every Run this context
-	// issues, including later Evaluate calls.
+	// issues, including later Measure and Evaluate calls.
 	Reg *obs.Registry
-	// Span, when active, parents one child span per measurement run the
-	// constructor issues (baseline plus each candidate solo). Inert spans
-	// cost a nil check.
+	// Span, when active, parents the baseline measurement's run span.
+	// Inert spans cost a nil check.
 	Span obs.Span
-	// Workers bounds the number of candidate solo measurements run
-	// concurrently during construction. Values <= 1 keep the serial loop;
-	// an active Span also forces serial measurement because child spans
-	// share the parent's trace lane and must not overlap.
+	// Workers bounds the number of candidate solo measurements one
+	// Measure call runs concurrently. Values <= 1 measure one at a time.
 	Workers int
 	// Persist, when non-nil, attaches a durable unit-outcome store under
 	// the context's cache, namespaced by PersistNS (which must uniquely
@@ -74,8 +104,8 @@ type ContextOpts struct {
 	PersistNS string
 }
 
-// NewContext analyzes the TDG with every BSA and measures the baseline
-// plus each (loop, BSA) candidate in isolation.
+// NewContext analyzes the TDG with every BSA and measures the baseline.
+// Candidate solos are measured on demand (see Measure).
 func NewContext(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA) (*Context, error) {
 	return NewContextWith(t, core, bsas, ContextOpts{})
 }
@@ -87,9 +117,13 @@ func NewContextWith(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA, opts
 	if opts.Persist != nil {
 		ctx.Cache.AttachPersist(opts.Persist, opts.PersistNS)
 	}
+	s := &solos{workers: opts.Workers, measured: make(map[string][]Candidate), flights: make(map[string]*flight)}
 	for name, b := range bsas {
 		ctx.Plans[name] = b.Analyze(t)
+		s.names = append(s.names, name)
 	}
+	sort.Strings(s.names)
+	ctx.solos = s
 	bsp := obs.Span{}
 	if opts.Span.Active() {
 		bsp = opts.Span.Child("run", "baseline")
@@ -102,24 +136,100 @@ func NewContextWith(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA, opts
 	}
 	ctx.BaseCycles = base.Cycles
 	ctx.BaseEnergyNJ = exocore.EnergyOf(base, core, bsas).TotalNJ()
+	return ctx, nil
+}
 
-	// Candidate solo measurements, in deterministic (BSA name, loop)
-	// order. The job list is built serially; measurement fans out on a
-	// bounded worker pool when requested, with results landing at their
-	// job index so Candidates keeps the exact serial order.
+// Measure runs the candidate solos (one per planned loop) of every named
+// BSA not measured yet and returns how many solos it ran. Names outside
+// the context's BSA set are ignored, and so is every call on a
+// hand-built context.
+//
+// Each BSA is measured once per context: a call that finds a BSA's
+// measurement in flight waits for it. A measurement that fails, panics
+// or is canceled is not kept, so the next call runs it again; a waiter
+// whose flight was canceled under it measures the BSA itself. Solos run
+// on up to ContextOpts.Workers goroutines and land in (BSA name, loop)
+// order whatever their completion order. With tr non-nil, each worker
+// opens a top-level span named span through tr.BeginCtx — its own trace
+// lane, tagged with ctx's request ID — and nests its solo runs under it.
+// A done ctx stops workers from starting further solos.
+func (c *Context) Measure(ctx context.Context, names []string, tr *obs.Tracer, span string) (int, error) {
+	s := c.solos
+	if s == nil || s.all.Load() {
+		return 0, nil
+	}
+	ran := 0
+	for {
+		mine, wait := s.claim(c.BSAs, names)
+		if len(mine) > 0 {
+			n, err := c.measure(ctx, mine, tr, span)
+			ran += n
+			if err != nil {
+				return ran, err
+			}
+		}
+		retry := false
+		for _, f := range wait {
+			select {
+			case <-f.done:
+			case <-ctx.Done():
+				return ran, ctx.Err()
+			}
+			if f.err != nil {
+				if !canceled(f.err) || ctx.Err() != nil {
+					return ran, f.err
+				}
+				retry = true
+			}
+		}
+		if !retry {
+			return ran, nil
+		}
+	}
+}
+
+func canceled(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// claim splits names into the BSAs this caller must measure (sorted,
+// each now owning a flight) and the flights of BSAs another caller is
+// measuring.
+func (s *solos) claim(bsas map[string]tdg.BSA, names []string) (mine []string, wait []*flight) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, name := range names {
+		if _, ok := bsas[name]; !ok {
+			continue
+		}
+		if _, ok := s.measured[name]; ok {
+			continue
+		}
+		if f := s.flights[name]; f != nil {
+			wait = append(wait, f)
+			continue
+		}
+		s.flights[name] = &flight{done: make(chan struct{})}
+		mine = append(mine, name)
+	}
+	sort.Strings(mine)
+	return mine, wait
+}
+
+// measure runs the solos of the claimed BSAs, records the BSAs whose
+// solos all succeeded, releases every claimed flight and returns the
+// number of solos run plus the first error in (BSA name, loop) order.
+func (c *Context) measure(ctx context.Context, mine []string, tr *obs.Tracer, span string) (int, error) {
 	type job struct {
 		name string
 		loop int
 	}
-	var names []string
-	for name := range bsas {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	var jobs []job
-	for _, name := range names {
+	first := make([]int, len(mine)+1) // mine[i]'s jobs are jobs[first[i]:first[i+1]]
+	for i, name := range mine {
+		first[i] = len(jobs)
 		var loops []int
-		for l := range ctx.Plans[name].Regions {
+		for l := range c.Plans[name].Regions {
 			loops = append(loops, l)
 		}
 		sort.Ints(loops)
@@ -127,74 +237,114 @@ func NewContextWith(t *tdg.TDG, core cores.Config, bsas map[string]tdg.BSA, opts
 			jobs = append(jobs, job{name: name, loop: l})
 		}
 	}
+	first[len(mine)] = len(jobs)
 
-	// A panicking model fails its measurement, not the process: the
-	// parallel path runs measure on bare worker goroutines.
-	measure := func(j job, sp obs.Span) (_ Candidate, err error) {
-		defer panics.Recover(&err)
-		res, err := exocore.Run(t, core, bsas, ctx.Plans,
-			exocore.Assignment{j.loop: j.name},
-			exocore.RunOpts{Cache: ctx.Cache, Span: sp, Reg: opts.Reg})
-		if err != nil {
-			return Candidate{}, fmt.Errorf("sched: candidate %s@L%d: %w", j.name, j.loop, err)
-		}
-		return Candidate{
-			LoopID: j.loop, BSA: j.name,
-			Cycles:     res.Cycles,
-			EnergyNJ:   exocore.EnergyOf(res, core, bsas).TotalNJ(),
-			EstSpeedup: ctx.Plans[j.name].Regions[j.loop].EstSpeedup,
-		}, nil
-	}
-
-	workers := opts.Workers
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	// Child spans share the parent's trace lane, so concurrent candidate
-	// spans would interleave and break the nesting invariant; tracing
-	// forces the serial path.
-	if workers > 1 && !opts.Span.Active() {
-		results := make([]Candidate, len(jobs))
-		errs := make([]error, len(jobs))
-		next := make(chan int)
-		done := make(chan struct{})
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer func() { done <- struct{}{} }()
-				for i := range next {
-					results[i], errs[i] = measure(jobs[i], obs.Span{})
+	results := make([]Candidate, len(jobs))
+	errs := make([]error, len(jobs))
+	var next, ran atomic.Int64
+	workers := min(max(c.solos.workers, 1), len(jobs))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		// Begun here, so every worker's lane is open before any work
+		// starts and concurrent workers never share one.
+		lane := tr.BeginCtx(ctx, "stage", span)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer lane.End()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(jobs) {
+					return
 				}
-			}()
-		}
-		for i := range jobs {
-			next <- i
-		}
-		close(next)
-		for w := 0; w < workers; w++ {
-			<-done
-		}
-		for _, err := range errs {
+				if err := ctx.Err(); err != nil {
+					errs[i] = err
+					continue
+				}
+				ran.Add(1)
+				j := jobs[i]
+				sp := lane.Child("run", "candidate "+j.name+"@L"+strconv.Itoa(j.loop))
+				results[i], errs[i] = c.solo(j.name, j.loop, sp)
+				sp.End()
+			}
+		}()
+	}
+	wg.Wait()
+
+	var firstErr error
+	s := c.solos
+	flights := make([]*flight, len(mine))
+	s.mu.Lock()
+	for i, name := range mine {
+		f := s.flights[name]
+		flights[i] = f
+		delete(s.flights, name)
+		for _, err := range errs[first[i]:first[i+1]] {
 			if err != nil {
-				return nil, err
+				f.err = err
+				break
 			}
 		}
-		ctx.Candidates = append(ctx.Candidates, results...)
-		return ctx, nil
+		if f.err == nil {
+			s.measured[name] = results[first[i]:first[i+1]:first[i+1]]
+		} else if firstErr == nil {
+			firstErr = f.err
+		}
 	}
+	if len(s.measured) == len(s.names) {
+		var all []Candidate
+		for _, name := range s.names {
+			all = append(all, s.measured[name]...)
+		}
+		c.Candidates = all
+		s.all.Store(true)
+	}
+	s.mu.Unlock()
+	for _, f := range flights {
+		close(f.done)
+	}
+	return int(ran.Load()), firstErr
+}
 
-	for _, j := range jobs {
-		csp := obs.Span{}
-		if opts.Span.Active() {
-			csp = opts.Span.Child("run", "candidate "+j.name+"@L"+strconv.Itoa(j.loop))
-		}
-		cand, err := measure(j, csp)
-		csp.End()
-		if err != nil {
-			return nil, err
-		}
-		ctx.Candidates = append(ctx.Candidates, cand)
+// solo measures one candidate: the whole benchmark with only loop
+// assigned to the named BSA. A panicking model fails the measurement,
+// not the process.
+func (c *Context) solo(name string, loop int, sp obs.Span) (_ Candidate, err error) {
+	defer panics.Recover(&err)
+	res, err := exocore.Run(c.TDG, c.Core, c.BSAs, c.Plans,
+		exocore.Assignment{loop: name},
+		exocore.RunOpts{Cache: c.Cache, Span: sp, Reg: c.reg})
+	if err != nil {
+		return Candidate{}, fmt.Errorf("sched: candidate %s@L%d: %w", name, loop, err)
 	}
-	return ctx, nil
+	return Candidate{
+		LoopID: loop, BSA: name,
+		Cycles:     res.Cycles,
+		EnergyNJ:   exocore.EnergyOf(res, c.Core, c.BSAs).TotalNJ(),
+		EstSpeedup: c.Plans[name].Regions[loop].EstSpeedup,
+	}, nil
+}
+
+// candidates returns the solo measurements Oracle draws from. A
+// hand-built context's Candidates are used as filled in. On a
+// NewContextWith context every BSA of avail is measured first; a
+// measurement failure panics, since Oracle cannot return it — callers
+// that need the error call Measure first.
+func (c *Context) candidates(avail []string) []Candidate {
+	s := c.solos
+	if s == nil || s.all.Load() {
+		return c.Candidates
+	}
+	if _, err := c.Measure(context.Background(), avail, nil, ""); err != nil {
+		panic(err)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out []Candidate
+	for _, name := range s.names {
+		out = append(out, s.measured[name]...)
+	}
+	return out
 }
 
 // PerfLossGuard is the maximum region-level slowdown the Oracle accepts
@@ -204,7 +354,9 @@ const PerfLossGuard = 0.10
 
 // Oracle returns the energy-delay-optimal assignment drawing only from
 // the available BSA subset, resolved hierarchically over the loop forest
-// (a region choice covers its nested loops).
+// (a region choice covers its nested loops). On a NewContextWith context
+// it first measures any BSA of avail not measured yet, and panics if
+// that fails; once every BSA is measured it neither locks nor measures.
 func (c *Context) Oracle(avail []string) exocore.Assignment {
 	availSet := make(map[string]bool, len(avail))
 	for _, a := range avail {
@@ -218,7 +370,7 @@ func (c *Context) Oracle(avail []string) exocore.Assignment {
 		gain float64
 	}
 	bestAt := make(map[int]choice)
-	for _, cand := range c.Candidates {
+	for _, cand := range c.candidates(avail) {
 		if !availSet[cand.BSA] {
 			continue
 		}
@@ -269,10 +421,10 @@ func (c *Context) clearSubtree(assign exocore.Assignment, loop int) {
 }
 
 // AmdahlTree returns the assignment a profile-guided compiler would pick
-// without oracle measurements: each loop node carries estimated
-// per-BSA speedups, and a bottom-up traversal applies Amdahl's law at
-// each node to decide whether to claim the whole subtree for one BSA or
-// keep the children's choices (paper Figure 9).
+// without oracle measurements (it never measures a solo): each loop
+// node carries estimated per-BSA speedups, and a bottom-up traversal
+// applies Amdahl's law at each node to decide whether to claim the whole
+// subtree for one BSA or keep the children's choices (paper Figure 9).
 func (c *Context) AmdahlTree(avail []string) exocore.Assignment {
 	availSet := make(map[string]bool, len(avail))
 	for _, a := range avail {

@@ -203,7 +203,13 @@ func EvaluateDocument(ctx context.Context, eng *runner.Engine, tool string,
 		if err != nil {
 			return nil, err
 		}
-		sc, err := eng.ContextCtx(ctx, wl, core)
+		// The Oracle reads the solos of the requested BSAs only;
+		// AmdahlTree works from the plans' estimates and measures none.
+		var need []string
+		if sched != "amdahl" {
+			need = bsas
+		}
+		sc, err := eng.SolosCtx(ctx, wl, core, need)
 		if err != nil {
 			return nil, err
 		}

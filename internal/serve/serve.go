@@ -211,7 +211,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	// The engine-stage hit counters, resolved once: the flight recorder
 	// attributes their growth across a request as its cache-hit count.
-	for _, st := range []string{runner.StageTrace, runner.StageTDG, runner.StageSched, runner.StageEval} {
+	for _, st := range []string{runner.StageTrace, runner.StageTDG, runner.StageSched, runner.StageSolos, runner.StageEval} {
 		s.stageHits = append(s.stageHits, reg.Counter("stage."+st+".hits"))
 	}
 	s.mux.HandleFunc("POST /v1/evaluate", s.handleEvaluate)
